@@ -116,10 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     optimize.add_argument("--time-limit", type=float, default=30.0)
     optimize.add_argument("--no-warm-start", action="store_true")
-    optimize.add_argument(
-        "--portfolio", action="store_true",
-        help="deprecated alias for --algorithm milp-portfolio",
-    )
     optimize.add_argument("--export-lp", help="write the MILP in LP format")
     optimize.add_argument("--export-mps", help="write the MILP in MPS format")
     optimize.add_argument("--save-plan", help="write the plan as JSON")
@@ -310,15 +306,6 @@ def _load_or_generate(args) -> "object":
 def _cmd_optimize(args) -> int:
     query = _load_or_generate(args)
     algorithm = args.algorithm
-    if args.portfolio:
-        if algorithm not in ("milp", "milp-portfolio"):
-            print(
-                f"--portfolio conflicts with --algorithm {algorithm}; "
-                "drop --portfolio or use --algorithm milp-portfolio",
-                file=sys.stderr,
-            )
-            return 2
-        algorithm = "milp-portfolio"
     if algorithm not in available_algorithms():
         print(
             f"unknown algorithm {algorithm!r}; "

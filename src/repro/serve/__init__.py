@@ -15,21 +15,26 @@ Layers, bottom up:
   queue with admission control and deadline-degraded budgets;
 * :mod:`repro.serve.coalesce` — in-flight request coalescing keyed by
   query signature (N concurrent identical queries → 1 optimization);
-* :mod:`repro.serve.server` — :class:`OptimizationServer`: worker pool,
-  cross-query basis sharing through the keyed
-  :class:`~repro.milp.lp_backend.BasisExchangePool`, graceful drain;
+* :mod:`repro.serve.resilience` — cancel tokens, the degradation
+  ladder, retries and per-(algorithm, size) circuit breakers;
+* :mod:`repro.serve.server` — the request lifecycle both front ends
+  share (validation, admission, coalescing, cancellation, resolve-once
+  accounting) and :class:`OptimizationServer` on top of it: worker
+  pool, deadline watchdog, store replay, cross-query basis sharing
+  through the keyed :class:`~repro.milp.lp_backend.BasisExchangePool`,
+  graceful drain;
 * :mod:`repro.serve.http` — stdlib JSON-over-HTTP front end
   (``POST /optimize``, ``GET /metrics``, ``GET /healthz``), also
   reachable as the ``repro serve`` CLI subcommand;
 * :mod:`repro.serve.ring` / :mod:`repro.serve.shardwire` /
   :mod:`repro.serve.shard` / :mod:`repro.serve.supervisor` /
   :mod:`repro.serve.sharded` — the multi-process tier:
-  :class:`ShardedOptimizationServer` runs N shard child processes
-  (each a full inner server with shard-local plan cache, basis pool
-  and store), routes by consistent hash of
-  ``(catalog_version, query_signature)``, supervises with heartbeats,
-  and fails over in-flight requests honestly when a shard dies
-  (``repro serve --shards N``).
+  :class:`ShardedOptimizationServer` inherits the same lifecycle and
+  runs N shard child processes as its executor (each a full inner
+  server with shard-local plan cache, basis pool and store), routes by
+  consistent hash of ``(catalog_version, query_signature)``, supervises
+  with heartbeats, forwards client cancels, and fails over in-flight
+  requests honestly when a shard dies (``repro serve --shards N``).
 
 Quickstart::
 

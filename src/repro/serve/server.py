@@ -2,7 +2,12 @@
 
 :class:`OptimizationServer` is the deployable front of the stack,
 layered strictly on :class:`repro.api.OptimizerService` (no new
-per-algorithm code paths):
+per-algorithm code paths).  Its request lifecycle — validate, admit,
+coalesce, resolve exactly once, account — lives in a base class that
+the multi-process :class:`~repro.serve.sharded.ShardedOptimizationServer`
+shares, so both front ends apply the same disposition rules; each
+subclass only supplies its executor (worker threads here, shard
+processes there):
 
 * admission goes through a :class:`~repro.serve.scheduler.DeadlineScheduler`
   — bounded queue, strict-priority + earliest-deadline ordering,
@@ -37,7 +42,12 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro import obs
-from repro.api import OptimizerService, OptimizerSettings, query_signature
+from repro.api import (
+    OptimizerService,
+    OptimizerSettings,
+    available_algorithms,
+    query_signature,
+)
 from repro.api.result import PlanResult
 from repro.cancel import CancelToken
 from repro.milp.branch_and_bound import SolverOptions
@@ -134,10 +144,12 @@ class ServeTicket:
     def cancel(self, reason: str = "cancelled by client") -> None:
         """Cooperatively cancel this request.
 
-        Queued requests resolve ``CANCELLED`` when a worker picks them
-        up; in-flight solves stop at their next cancellation poll (the
-        MILP checks between pivots) and resolve with their best-so-far
-        plan (``COMPLETED``) or ``CANCELLED`` when nothing was found.
+        Queued requests resolve ``CANCELLED`` when a worker (or the
+        sharded hub's dispatcher) picks them up; in-flight solves stop
+        at their next cancellation poll (the MILP checks between
+        pivots) and resolve with their best-so-far plan (``COMPLETED``)
+        or ``CANCELLED`` when nothing was found.  On the sharded tier
+        the hub forwards the cancel to the shard holding the request.
         Already-resolved requests are unaffected.
         """
         if self._request.cancel_token is not None:
@@ -158,7 +170,369 @@ def _priority(value: "Priority | str | int") -> Priority:
     return Priority(value)
 
 
-class OptimizationServer:
+class _RequestLifecycle:
+    """The request lifecycle both serving front ends share.
+
+    admit → coalesce → resolve once → account: deadline and priority
+    validation, the per-request :class:`CancelToken` and trace, the
+    algorithm check, coalescing, admission control, idempotent
+    resolution with follower fan-out, and the request counters and
+    histograms.  Subclasses supply the executor that drains
+    :attr:`scheduler` — worker threads (:class:`OptimizationServer`) or
+    shard processes (:class:`~repro.serve.sharded.ShardedOptimizationServer`)
+    — plus ``start``/``stop`` and a ``catalog_version``.
+    """
+
+    def __init__(
+        self,
+        *,
+        queue_capacity: int,
+        coalesce: bool,
+        default_deadline: float | None,
+    ) -> None:
+        self.scheduler = DeadlineScheduler(queue_capacity)
+        self.coalescer = RequestCoalescer() if coalesce else None
+        self.default_deadline = default_deadline
+        self.metrics = MetricsRegistry()
+        self._lock = threading.Lock()
+        self._started = False
+
+        m = self.metrics
+        self._requests_total = m.counter(
+            "serve_requests_total", "requests submitted")
+        self._completed = m.counter(
+            "serve_completed_total", "requests answered with a result")
+        self._rejected = m.counter(
+            "serve_rejected_total", "requests shed by admission control")
+        self._timed_out = m.counter(
+            "serve_timed_out_total", "requests whose deadline expired")
+        self._failed = m.counter(
+            "serve_failed_total", "requests that raised")
+        self._cancelled = m.counter(
+            "serve_cancelled_total", "requests cancelled cooperatively")
+        self._coalesced = m.counter(
+            "serve_coalesced_total", "requests answered by another's solve")
+        self._slow_requests = m.counter(
+            "serve_slow_requests_total",
+            "traced requests slower than the tracer's slow threshold")
+        self._errors = m.counter_family(
+            "errors_total", "errors by exception type")
+        self._queue_depth = m.gauge(
+            "serve_queue_depth", "requests waiting in the scheduler")
+        self._wait_hist = m.histogram(
+            "serve_wait_seconds", "queue wait time")
+        self._total_hist = m.histogram(
+            "serve_total_seconds", "submit-to-resolve latency")
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, *exc: object) -> None:
+        self.stop(drain=True)
+
+    @property
+    def started(self) -> bool:
+        with self._lock:
+            return self._started
+
+    def _algorithms(self) -> tuple[str, ...]:
+        """Registry keys this server can run."""
+        return available_algorithms()
+
+    # ------------------------------------------------------------------
+    # Submission
+    # ------------------------------------------------------------------
+
+    def submit(
+        self,
+        query: "Query",
+        algorithm: str = "auto",
+        *,
+        priority: "Priority | str | int" = Priority.NORMAL,
+        deadline: float | None = None,
+        trace_context: dict | None = None,
+    ) -> ServeTicket:
+        """Submit ``query`` for optimization; returns immediately.
+
+        ``deadline`` is relative seconds from now; it both schedules the
+        request (earliest deadline first within its priority class) and
+        caps its optimization budget.  The ticket's future always
+        resolves — ``REJECTED`` synchronously when admission sheds the
+        request, ``FAILED`` synchronously for an unknown algorithm,
+        ``TIMED_OUT``/``FAILED``/``CANCELLED``/``COMPLETED`` from the
+        executor.
+
+        ``trace_context`` is a serialized :func:`repro.obs.serialize_context`
+        dict from an upstream process (the sharded hub): the request's
+        trace then *continues* the upstream trace under the same id
+        instead of starting a fresh one, so one request that crossed
+        the shard wire reads as one trace.
+        """
+        # Validate before counting, so a raised ValueError leaves the
+        # submitted/resolved counters balanced.  NaN would sail through
+        # an `<= 0` check and then poison the EDF heap and the solver's
+        # time-limit comparisons.
+        resolved_priority = _priority(priority)
+        effective = (
+            deadline if deadline is not None else self.default_deadline
+        )
+        if effective is not None and not (
+            math.isfinite(effective) and effective > 0
+        ):
+            raise ValueError(
+                "deadline must be a positive finite number of seconds"
+            )
+        self._requests_total.inc()
+        request = ServeRequest(
+            query=query,
+            algorithm=algorithm,
+            priority=resolved_priority,
+        )
+        if effective is not None:
+            request.deadline = request.submitted + effective
+        request.cancel_token = CancelToken(deadline=request.deadline)
+        trace = obs.continue_trace(
+            "request",
+            trace_context,
+            algorithm=algorithm,
+            priority=resolved_priority.name.lower(),
+            query=getattr(query, "name", "?"),
+        )
+        if trace:
+            request.trace = trace
+        if self.scheduler.closed:
+            # A stopped server stays stopped: the scheduler cannot
+            # reopen, so restarting the executor would only dress the
+            # rejection up as a transient "queue full".
+            self._resolve_rejection(request, "server stopped")
+            return ServeTicket(request)
+        # Benign double-checked fast path: start() re-checks under the
+        # lock, so the worst case is one redundant call.
+        if not self._started:
+            self.start()
+        algorithms = self._algorithms()
+        if algorithm not in algorithms:
+            self._resolve(request, ServeResult(
+                status=RequestStatus.FAILED,
+                algorithm=algorithm,
+                error=(
+                    f"unknown algorithm {algorithm!r}; registered: "
+                    f"{', '.join(algorithms)}"
+                ),
+            ))
+            return ServeTicket(request)
+        request.key = (
+            self.catalog_version,
+            algorithm,
+            query_signature(query),
+        )
+        # Only deadline-free requests coalesce: a deadline carrier must
+        # get its own (possibly degraded) budget and its own timeout
+        # disposition, and conversely a deadline-free request must never
+        # inherit a leader's deadline-truncated plan or TIMED_OUT — the
+        # same quality invariant that keeps degraded solves out of the
+        # plan cache.
+        if self.coalescer is not None and request.deadline is None:
+            if not self.coalescer.lead_or_follow(request.key, request):
+                # Follower: answered by the leader, consumes nothing.
+                self._coalesced.inc()
+                return ServeTicket(request)
+            request.leads = True
+        # The admission span nests under the request root: attach the
+        # root to the submitting thread for the duration of the offer.
+        with obs.attach(request.trace):
+            admitted = self.scheduler.offer(request)
+        if not admitted:
+            self._resolve_rejection(request, "queue full")
+            return ServeTicket(request)
+        self._queue_depth.set(len(self.scheduler))
+        return ServeTicket(request)
+
+    def optimize(
+        self,
+        query: "Query",
+        algorithm: str = "auto",
+        *,
+        priority: "Priority | str | int" = Priority.NORMAL,
+        deadline: float | None = None,
+        timeout: float | None = None,
+    ) -> ServeResult:
+        """Synchronous convenience: submit and block for the result."""
+        ticket = self.submit(
+            query, algorithm, priority=priority, deadline=deadline
+        )
+        return ticket.result(timeout)
+
+    def _resolve_if_cancelled(
+        self, request: ServeRequest, wait: float
+    ) -> bool:
+        """Resolve ``CANCELLED`` a request cancelled while it was still
+        queued, so it never starts; ``True`` when it was."""
+        token = request.cancel_token
+        if token is None or not token.cancel_requested:
+            return False
+        self._finish(request, ServeResult(
+            status=RequestStatus.CANCELLED,
+            algorithm=request.algorithm,
+            error=f"cancelled: {token.reason}",
+            wait_seconds=wait,
+        ))
+        return True
+
+    # ------------------------------------------------------------------
+    # Resolution
+    # ------------------------------------------------------------------
+
+    def _finish(self, request: ServeRequest, outcome: ServeResult) -> None:
+        """Resolve ``request`` and every follower coalesced onto it."""
+        # Only deadline-free requests coalesce (see submit), so every
+        # follower here was willing to wait for the full-budget answer
+        # it is handed — no late-delivery or quality mismatch to check.
+        followers = (
+            self.coalescer.complete(request.key) if request.leads else []
+        )
+        self._resolve(request, outcome)
+        for follower in followers:
+            self._resolve(follower, replace(
+                outcome,
+                coalesced=True,
+                wait_seconds=0.0,
+                service_seconds=0.0,
+            ))
+
+    def _resolve(self, request: ServeRequest, outcome: ServeResult) -> None:
+        total = time.monotonic() - request.submitted
+        outcome.total_seconds = total
+        trace = request.trace
+        if trace:
+            outcome.trace_id = trace.trace_id
+            if outcome.result is not None and "trace_id" not in (
+                outcome.result.diagnostics
+            ):
+                # Never mutate a possibly-cached PlanResult shared with
+                # other requests: echo the trace id on a copy (the same
+                # discipline the resilience ladder uses for its
+                # degradation record).
+                outcome.result = replace(
+                    outcome.result,
+                    diagnostics={
+                        **outcome.result.diagnostics,
+                        "trace_id": trace.trace_id,
+                    },
+                )
+        # set_result-first makes resolution idempotent and atomic: an
+        # executor answering late and the watchdog, shard-death
+        # disposition or deadline backstop that already gave up on it
+        # may both call this, and exactly one may count.
+        try:
+            request.future.set_result(outcome)
+        # repro: allow[NUM-004] the documented idempotent-resolve site: executor and watchdog/backstop may race, exactly one counts
+        except InvalidStateError:
+            return
+        if trace:
+            self._finish_trace(request, trace, outcome)
+        self._total_hist.observe(total)
+        counter = {
+            RequestStatus.COMPLETED: self._completed,
+            RequestStatus.REJECTED: self._rejected,
+            RequestStatus.TIMED_OUT: self._timed_out,
+            RequestStatus.FAILED: self._failed,
+            RequestStatus.CANCELLED: self._cancelled,
+        }[outcome.status]
+        counter.inc()
+
+    def _finish_trace(
+        self, request: ServeRequest, trace: "obs.Span", outcome: ServeResult
+    ) -> None:
+        """Close the request's root span (publishing the trace through
+        the tracer's sampling verdict) and emit the structured
+        slow-request log line with the span breakdown."""
+        if request.queue_span is not None:
+            request.queue_span.finish()
+        trace.annotate(status=outcome.status.value)
+        if outcome.coalesced:
+            trace.annotate(coalesced=True)
+        trace.finish()
+        duration_ms = trace.trace.duration_ms()
+        tracer = obs.active()
+        if tracer is not None and duration_ms >= tracer.slow_ms:
+            self._slow_requests.inc()
+            logger.warning(
+                "slow request trace_id=%s status=%s algorithm=%s "
+                "total_ms=%.1f wait_ms=%.1f breakdown=%s",
+                trace.trace_id, outcome.status.value, outcome.algorithm,
+                duration_ms, outcome.wait_seconds * 1000.0,
+                trace.trace.breakdown(),
+            )
+
+    def _resolve_rejection(self, request: ServeRequest, reason: str) -> None:
+        """``REJECTED``-resolve a request that never ran, and the
+        followers coalesced onto it (they would otherwise wait forever
+        on an outcome that never comes)."""
+        if request.leads:
+            for follower in self.coalescer.withdraw(request.key):
+                self._resolve(follower, ServeResult(
+                    status=RequestStatus.REJECTED,
+                    algorithm=follower.algorithm,
+                    error=reason,
+                ))
+        self._resolve(request, ServeResult(
+            status=RequestStatus.REJECTED,
+            algorithm=request.algorithm,
+            error=reason,
+        ))
+
+    def _reject_queued(self) -> None:
+        """Reject every request still in the scheduler (shutdown)."""
+        for request in self.scheduler.drain():
+            self._resolve_rejection(request, "server shutting down")
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+
+    def metrics_snapshot(self) -> dict:
+        """The request, coalescing, latency, queue and error sections
+        both front ends report; subclasses add their executor's."""
+        requests = self._requests_total.value
+        coalesced = self._coalesced.value
+        return {
+            "requests": {
+                "submitted": requests,
+                "completed": self._completed.value,
+                "rejected": self._rejected.value,
+                "timed_out": self._timed_out.value,
+                "failed": self._failed.value,
+                "cancelled": self._cancelled.value,
+            },
+            "coalesce": {
+                "coalesced": coalesced,
+                "rate": coalesced / requests if requests else 0.0,
+                "in_flight": (
+                    self.coalescer.in_flight()
+                    if self.coalescer is not None else 0
+                ),
+            },
+            "latency": {
+                "wait": self._wait_hist.snapshot(),
+                "total": self._total_hist.snapshot(),
+            },
+            "queue": {
+                "depth": len(self.scheduler),
+                "capacity": self.scheduler.capacity,
+                "offered": self.scheduler.offered,
+                "shed": self.scheduler.shed,
+            },
+            "errors": self._errors.as_dict(),
+        }
+
+    def stats(self) -> dict:
+        """The ``GET /stats`` payload: :meth:`metrics_snapshot`, under
+        the name the HTTP layer calls on either front end."""
+        return self.metrics_snapshot()
+
+
+class OptimizationServer(_RequestLifecycle):
     """Async optimization server over an :class:`OptimizerService`.
 
     Parameters
@@ -241,6 +615,11 @@ class OptimizationServer:
             raise ValueError("watchdog_interval must be positive")
         if wedge_grace <= 0:
             raise ValueError("wedge_grace must be positive")
+        super().__init__(
+            queue_capacity=queue_capacity,
+            coalesce=coalesce,
+            default_deadline=default_deadline,
+        )
         self.basis_pool: BasisExchangePool | None = None
         if service is not None:
             self.service = service
@@ -274,9 +653,6 @@ class OptimizationServer:
         #: store.stats values already folded into the metrics counters
         #: (the counters are monotonic; the sync applies deltas).
         self._store_synced = {"hits": 0, "writes": 0}
-        self.scheduler = DeadlineScheduler(queue_capacity)
-        self.coalescer = RequestCoalescer() if coalesce else None
-        self.default_deadline = default_deadline
         self.budget_safety = budget_safety
         self.min_budget = min_budget
         self.resilience = ResilientExecutor(
@@ -287,11 +663,8 @@ class OptimizationServer:
         )
         self.watchdog_interval = watchdog_interval
         self.wedge_grace = wedge_grace
-        self.metrics = MetricsRegistry()
         self._workers: list[threading.Thread] = []
         self._num_workers = workers
-        self._started = False
-        self._lock = threading.Lock()
         #: What each live worker thread is optimizing right now; the
         #: watchdog walks this to fire deadline cancellations and to
         #: detect wedged workers.
@@ -306,25 +679,11 @@ class OptimizationServer:
         self._worker_seq = 0
 
         m = self.metrics
-        self._requests_total = m.counter(
-            "serve_requests_total", "requests submitted")
-        self._completed = m.counter(
-            "serve_completed_total", "requests answered with a result")
-        self._rejected = m.counter(
-            "serve_rejected_total", "requests shed by admission control")
-        self._timed_out = m.counter(
-            "serve_timed_out_total", "requests whose deadline expired")
-        self._failed = m.counter(
-            "serve_failed_total", "requests that raised")
-        self._coalesced = m.counter(
-            "serve_coalesced_total", "requests answered by another's solve")
         self._optimizations = m.counter(
             "serve_optimizations_total",
             "optimizer invocations (cache hits included, followers not)")
         self._degraded = m.counter(
             "serve_degraded_total", "requests run under a reduced budget")
-        self._cancelled = m.counter(
-            "serve_cancelled_total", "requests cancelled cooperatively")
         self._retries = m.counter(
             "serve_retries_total", "transient-failure retries")
         self._ladder_descents = m.counter(
@@ -333,21 +692,10 @@ class OptimizationServer:
         self._workers_replaced = m.counter(
             "serve_workers_replaced_total",
             "wedged workers written off and replaced")
-        self._slow_requests = m.counter(
-            "serve_slow_requests_total",
-            "traced requests slower than the tracer's slow threshold")
-        self._errors = m.counter_family(
-            "errors_total", "errors by exception type")
-        self._queue_depth = m.gauge(
-            "serve_queue_depth", "requests waiting in the scheduler")
         self._busy_workers = m.gauge(
             "serve_busy_workers", "workers currently optimizing")
-        self._wait_hist = m.histogram(
-            "serve_wait_seconds", "queue wait time")
         self._service_hist = m.histogram(
             "serve_service_seconds", "optimization time")
-        self._total_hist = m.histogram(
-            "serve_total_seconds", "submit-to-resolve latency")
         self._store_hits = m.counter(
             "store_hits_total", "plan-store reads answered from disk")
         self._store_writes = m.counter(
@@ -497,15 +845,7 @@ class OptimizationServer:
         """
         self.scheduler.close()
         if not drain:
-            for request in self.scheduler.drain():
-                # Followers coalesced onto this leader would otherwise
-                # wait forever on an outcome that never comes.
-                if request.leads:
-                    for follower in self.coalescer.withdraw(request.key):
-                        self._resolve_rejection(
-                            follower, "server shutting down"
-                        )
-                self._resolve_rejection(request, "server shutting down")
+            self._reject_queued()
             with self._lock:
                 inflight = list(self._inflight.values())
             for request in inflight:
@@ -530,16 +870,12 @@ class OptimizationServer:
                     "worker %s still wedged at shutdown; "
                     "force-resolving its request", thread.name,
                 )
-                self._force_resolve(
-                    request,
-                    RequestStatus.TIMED_OUT,
-                    "server stopped while request was wedged in flight",
-                )
-        for request in self.scheduler.drain():
-            if request.leads and self.coalescer is not None:
-                for follower in self.coalescer.withdraw(request.key):
-                    self._resolve_rejection(follower, "server shutting down")
-            self._resolve_rejection(request, "server shutting down")
+                self._finish(request, ServeResult(
+                    status=RequestStatus.TIMED_OUT,
+                    algorithm=request.algorithm,
+                    error="server stopped while request was wedged in flight",
+                ))
+        self._reject_queued()
         if drain:
             # Graceful exit persists the working set (plans were written
             # through as they were solved; bases live only in the pool
@@ -552,137 +888,12 @@ class OptimizationServer:
             self._watchdog_thread = None
             self._started = False
 
-    def __enter__(self) -> "OptimizationServer":
-        return self.start()
+    @property
+    def catalog_version(self) -> int:
+        return self.service.catalog_version
 
-    def __exit__(self, *exc) -> None:
-        self.stop(drain=True)
-
-    # ------------------------------------------------------------------
-    # Submission
-    # ------------------------------------------------------------------
-
-    def submit(
-        self,
-        query: "Query",
-        algorithm: str = "auto",
-        *,
-        priority: "Priority | str | int" = Priority.NORMAL,
-        deadline: float | None = None,
-        trace_context: dict | None = None,
-    ) -> ServeTicket:
-        """Submit ``query`` for optimization; returns immediately.
-
-        ``deadline`` is relative seconds from now; it both schedules the
-        request (earliest deadline first within its priority class) and
-        caps its optimization budget.  The ticket's future always
-        resolves — ``REJECTED`` synchronously when admission sheds the
-        request, ``TIMED_OUT``/``FAILED``/``COMPLETED`` from a worker.
-
-        ``trace_context`` is a serialized :func:`repro.obs.serialize_context`
-        dict from an upstream process (the sharded hub): the request's
-        trace then *continues* the upstream trace under the same id
-        instead of starting a fresh one, so one request that crossed
-        the shard wire reads as one trace.
-        """
-        # Validate before counting, so a raised ValueError leaves the
-        # submitted/resolved counters balanced.  NaN would sail through
-        # an `<= 0` check and then poison the EDF heap and the solver's
-        # time-limit comparisons.
-        resolved_priority = _priority(priority)
-        effective = (
-            deadline if deadline is not None else self.default_deadline
-        )
-        if effective is not None and not (
-            math.isfinite(effective) and effective > 0
-        ):
-            raise ValueError(
-                "deadline must be a positive finite number of seconds"
-            )
-        self._requests_total.inc()
-        request = ServeRequest(
-            query=query,
-            algorithm=algorithm,
-            priority=resolved_priority,
-        )
-        if effective is not None:
-            request.deadline = request.submitted + effective
-        request.cancel_token = CancelToken(deadline=request.deadline)
-        trace = obs.continue_trace(
-            "request",
-            trace_context,
-            algorithm=algorithm,
-            priority=resolved_priority.name.lower(),
-            query=getattr(query, "name", "?"),
-        )
-        if trace:
-            request.trace = trace
-        if self.scheduler.closed:
-            # A stopped server stays stopped: the scheduler cannot
-            # reopen, so restarting workers would only dress the
-            # rejection up as a transient "queue full".
-            self._resolve_rejection(request, "server stopped")
-            return ServeTicket(request)
-        # Benign double-checked fast path: start() re-checks under the
-        # lock, so the worst case is one redundant call.
-        # repro: allow[LOCK-001] racy fast-path read; start() re-checks under the lock
-        if not self._started:
-            self.start()
-        if algorithm not in self.service.algorithms():
-            self._failed.inc()
-            request.future.set_result(ServeResult(
-                status=RequestStatus.FAILED,
-                algorithm=algorithm,
-                error=(
-                    f"unknown algorithm {algorithm!r}; registered: "
-                    f"{', '.join(self.service.algorithms())}"
-                ),
-            ))
-            return ServeTicket(request)
-        request.key = (
-            self.service.catalog_version,
-            algorithm,
-            query_signature(query),
-        )
-        # Only deadline-free requests coalesce: a deadline carrier must
-        # get its own (possibly degraded) budget and its own timeout
-        # disposition, and conversely a deadline-free request must never
-        # inherit a leader's deadline-truncated plan or TIMED_OUT — the
-        # same quality invariant that keeps degraded solves out of the
-        # plan cache.
-        if self.coalescer is not None and request.deadline is None:
-            if not self.coalescer.lead_or_follow(request.key, request):
-                # Follower: answered by the leader, consumes nothing.
-                self._coalesced.inc()
-                return ServeTicket(request)
-            request.leads = True
-        # The admission span nests under the request root: attach the
-        # root to the submitting thread for the duration of the offer.
-        with obs.attach(request.trace):
-            admitted = self.scheduler.offer(request)
-        if not admitted:
-            if request.leads:
-                for follower in self.coalescer.withdraw(request.key):
-                    self._resolve_rejection(follower, "queue full")
-            self._resolve_rejection(request, "queue full")
-            return ServeTicket(request)
-        self._queue_depth.set(len(self.scheduler))
-        return ServeTicket(request)
-
-    def optimize(
-        self,
-        query: "Query",
-        algorithm: str = "auto",
-        *,
-        priority: "Priority | str | int" = Priority.NORMAL,
-        deadline: float | None = None,
-        timeout: float | None = None,
-    ) -> ServeResult:
-        """Synchronous convenience: submit and block for the result."""
-        ticket = self.submit(
-            query, algorithm, priority=priority, deadline=deadline
-        )
-        return ticket.result(timeout)
+    def _algorithms(self) -> tuple[str, ...]:
+        return self.service.algorithms()
 
     # ------------------------------------------------------------------
     # Worker side
@@ -776,11 +987,11 @@ class OptimizationServer:
         )
         self._workers_replaced.inc()
         self._errors.labels(type="WedgedWorker").inc()
-        self._force_resolve(
-            request,
-            RequestStatus.TIMED_OUT,
-            "worker wedged past deadline; written off",
-        )
+        self._finish(request, ServeResult(
+            status=RequestStatus.TIMED_OUT,
+            algorithm=request.algorithm,
+            error="worker wedged past deadline; written off",
+        ))
 
     def _process(self, request: ServeRequest) -> None:
         """Worker-side entry: adopt the request's trace context (the
@@ -796,19 +1007,7 @@ class OptimizationServer:
         request.started = now
         wait = now - request.submitted
         self._wait_hist.observe(wait)
-
-        token = request.cancel_token
-        if token is not None and token.cancel_requested:
-            # Cancelled while still queued: never start the solve.
-            self._finish(
-                request,
-                ServeResult(
-                    status=RequestStatus.CANCELLED,
-                    algorithm=request.algorithm,
-                    error=f"cancelled: {token.reason}",
-                    wait_seconds=wait,
-                ),
-            )
+        if self._resolve_if_cancelled(request, wait):
             return
 
         remaining = request.remaining(now)
@@ -940,125 +1139,8 @@ class OptimizationServer:
         )
 
     # ------------------------------------------------------------------
-    # Resolution
-    # ------------------------------------------------------------------
-
-    def _finish(self, request: ServeRequest, outcome: ServeResult) -> None:
-        # Only deadline-free requests coalesce (see submit), so every
-        # follower here was willing to wait for the full-budget answer
-        # it is handed — no late-delivery or quality mismatch to check.
-        followers = (
-            self.coalescer.complete(request.key) if request.leads else []
-        )
-        self._resolve(request, outcome)
-        for follower in followers:
-            self._resolve(follower, replace(
-                outcome,
-                coalesced=True,
-                wait_seconds=0.0,
-                service_seconds=0.0,
-            ))
-
-    def _resolve(self, request: ServeRequest, outcome: ServeResult) -> None:
-        total = time.monotonic() - request.submitted
-        outcome.total_seconds = total
-        trace = request.trace
-        if trace:
-            outcome.trace_id = trace.trace_id
-            if outcome.result is not None and "trace_id" not in (
-                outcome.result.diagnostics
-            ):
-                # Never mutate a possibly-cached PlanResult shared with
-                # other requests: echo the trace id on a copy (the same
-                # discipline the resilience ladder uses for its
-                # degradation record).
-                outcome.result = replace(
-                    outcome.result,
-                    diagnostics={
-                        **outcome.result.diagnostics,
-                        "trace_id": trace.trace_id,
-                    },
-                )
-        # set_result-first makes resolution idempotent and atomic: both
-        # a wedged worker limping home and the watchdog that already
-        # wrote it off may call this, and exactly one may count.
-        try:
-            request.future.set_result(outcome)
-        # repro: allow[NUM-004] the documented idempotent-resolve site: worker and watchdog may race, exactly one counts
-        except InvalidStateError:
-            return
-        if trace:
-            self._finish_trace(request, trace, outcome)
-        self._total_hist.observe(total)
-        counter = {
-            RequestStatus.COMPLETED: self._completed,
-            RequestStatus.REJECTED: self._rejected,
-            RequestStatus.TIMED_OUT: self._timed_out,
-            RequestStatus.FAILED: self._failed,
-            RequestStatus.CANCELLED: self._cancelled,
-        }[outcome.status]
-        counter.inc()
-
-    def _finish_trace(
-        self, request: ServeRequest, trace: "obs.Span", outcome: ServeResult
-    ) -> None:
-        """Close the request's root span (publishing the trace through
-        the tracer's sampling verdict) and emit the structured
-        slow-request log line with the span breakdown."""
-        if request.queue_span is not None:
-            request.queue_span.finish()
-        trace.annotate(status=outcome.status.value)
-        if outcome.coalesced:
-            trace.annotate(coalesced=True)
-        trace.finish()
-        duration_ms = trace.trace.duration_ms()
-        tracer = obs.active()
-        if tracer is not None and duration_ms >= tracer.slow_ms:
-            self._slow_requests.inc()
-            logger.warning(
-                "slow request trace_id=%s status=%s algorithm=%s "
-                "total_ms=%.1f wait_ms=%.1f breakdown=%s",
-                trace.trace_id, outcome.status.value, outcome.algorithm,
-                duration_ms, outcome.wait_seconds * 1000.0,
-                trace.trace.breakdown(),
-            )
-
-    def _force_resolve(
-        self,
-        request: ServeRequest,
-        status: RequestStatus,
-        reason: str,
-    ) -> None:
-        """Resolve a request (and any coalesced followers) from outside
-        its worker — watchdog write-off or shutdown leftovers."""
-        outcome = ServeResult(
-            status=status,
-            algorithm=request.algorithm,
-            error=reason,
-        )
-        followers = (
-            self.coalescer.complete(request.key)
-            if request.leads and self.coalescer is not None else []
-        )
-        self._resolve(request, outcome)
-        for follower in followers:
-            self._resolve(follower, replace(outcome, coalesced=True))
-
-    def _resolve_rejection(self, request: ServeRequest, reason: str) -> None:
-        self._resolve(request, ServeResult(
-            status=RequestStatus.REJECTED,
-            algorithm=request.algorithm,
-            error=reason,
-        ))
-
-    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    @property
-    def started(self) -> bool:
-        with self._lock:
-            return self._started
 
     def _sync_store_metrics(self) -> None:
         """Fold the store's own counters into the metrics registry.
@@ -1083,41 +1165,13 @@ class OptimizationServer:
     def metrics_snapshot(self) -> dict:
         """One JSON-friendly view across server, cache, LP and pool."""
         self._sync_store_metrics()
-        requests = self._requests_total.value
-        completed = self._completed.value
-        coalesced = self._coalesced.value
         with self._lock:
             wedged = len(self._wedged)
-        snapshot = {
-            "requests": {
-                "submitted": requests,
-                "completed": completed,
-                "rejected": self._rejected.value,
-                "timed_out": self._timed_out.value,
-                "failed": self._failed.value,
-                "cancelled": self._cancelled.value,
-                "degraded": self._degraded.value,
-            },
+        snapshot = super().metrics_snapshot()
+        snapshot["requests"]["degraded"] = self._degraded.value
+        snapshot["latency"]["service"] = self._service_hist.snapshot()
+        snapshot.update({
             "optimizations": self._optimizations.value,
-            "coalesce": {
-                "coalesced": coalesced,
-                "rate": coalesced / requests if requests else 0.0,
-                "in_flight": (
-                    self.coalescer.in_flight()
-                    if self.coalescer is not None else 0
-                ),
-            },
-            "latency": {
-                "wait": self._wait_hist.snapshot(),
-                "service": self._service_hist.snapshot(),
-                "total": self._total_hist.snapshot(),
-            },
-            "queue": {
-                "depth": len(self.scheduler),
-                "capacity": self.scheduler.capacity,
-                "offered": self.scheduler.offered,
-                "shed": self.scheduler.shed,
-            },
             "cache": {
                 "hits": self.service.stats.hits,
                 "misses": self.service.stats.misses,
@@ -1135,8 +1189,6 @@ class OptimizationServer:
             # One place for every "the serving tier replaced a broken
             # part" counter — thread-level here, process-level (shard
             # respawns/kills/retries) added by the sharded front end.
-            # Before this section, serve_workers_replaced_total was
-            # metrics-text-only and invisible in /stats.
             "supervision": {
                 "workers_replaced": self._workers_replaced.value,
                 "wedged_workers": wedged,
@@ -1144,8 +1196,7 @@ class OptimizationServer:
                 "shard_kills": 0,
                 "shard_retries": 0,
             },
-            "errors": self._errors.as_dict(),
-        }
+        })
         if self.basis_pool is not None:
             snapshot["basis_pool"] = self.basis_pool.as_dict()
         if self.store is not None:
@@ -1161,16 +1212,6 @@ class OptimizationServer:
             }
             snapshot["store"] = summary
         return snapshot
-
-    def stats(self) -> dict:
-        """The ``GET /stats`` payload.
-
-        Today this is :meth:`metrics_snapshot` (including the
-        ``supervision`` section); the named method exists so the HTTP
-        layer and the sharded front end expose the same duck-typed
-        surface.
-        """
-        return self.metrics_snapshot()
 
     def metrics_text(self) -> str:
         """Prometheus-style text exposition (``GET /metrics``)."""

@@ -1,10 +1,11 @@
 """Multi-process sharded optimization serving.
 
-:class:`ShardedOptimizationServer` presents the same surface as the
-single-process :class:`~repro.serve.server.OptimizationServer` —
-``submit``/``optimize``/``stats``/``metrics_text``/``stop(drain=...)``,
-the same :class:`~repro.serve.scheduler.DeadlineScheduler` admission
-and the same deadline-free request coalescing — but executes every
+:class:`ShardedOptimizationServer` shares the single-process
+:class:`~repro.serve.server.OptimizationServer`'s request lifecycle —
+``submit``/``optimize``/``stats``, the same
+:class:`~repro.serve.scheduler.DeadlineScheduler` admission, the same
+deadline-free request coalescing, cancellation and resolve-once
+accounting, all inherited from one base class — but executes every
 optimization in one of N shard child processes, each running a full
 inner server (worker pool, resilience ladder, shard-local plan cache,
 :class:`~repro.milp.lp_backend.BasisExchangePool`, per-shard store
@@ -37,29 +38,19 @@ its old keyspace, and its warm replay reloaded exactly those plans.
 from __future__ import annotations
 
 import logging
-import math
 import threading
 import time
-from concurrent.futures import InvalidStateError
-from dataclasses import replace
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from repro import faultinject, obs
-from repro.api import available_algorithms, query_signature
 
 from repro.serve import shardwire
-from repro.serve.coalesce import RequestCoalescer
-from repro.serve.metrics import MetricsRegistry, render_labeled
-from repro.serve.scheduler import (
-    DeadlineScheduler,
-    Priority,
-    ServeRequest,
-)
+from repro.serve.metrics import render_labeled
+from repro.serve.scheduler import ServeRequest
 from repro.serve.server import (
     RequestStatus,
     ServeResult,
-    ServeTicket,
-    _priority,
+    _RequestLifecycle,
 )
 from repro.serve.ring import HashRing
 from repro.serve.shard import (
@@ -71,9 +62,6 @@ from repro.serve.shard import (
     shard_vnodes,
 )
 from repro.serve.supervisor import ShardHandle, ShardState, ShardSupervisor
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.catalog.query import Query
 
 __all__ = ["ShardedOptimizationServer"]
 
@@ -91,7 +79,7 @@ DEFAULT_REQUEST_TIMEOUT = 300.0
 DEADLINE_GRACE = 2.0
 
 
-class ShardedOptimizationServer:
+class ShardedOptimizationServer(_RequestLifecycle):
     """N shard processes behind one scheduler, supervisor and ring.
 
     Parameters mirror :class:`~repro.serve.server.OptimizationServer`
@@ -142,8 +130,12 @@ class ShardedOptimizationServer:
     ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
+        super().__init__(
+            queue_capacity=queue_capacity,
+            coalesce=coalesce,
+            default_deadline=default_deadline,
+        )
         self.shards = shards
-        self.default_deadline = default_deadline
         self.request_timeout = request_timeout
         self.max_retries = (
             max_retries if max_retries is not None else shard_max_retries()
@@ -198,11 +190,6 @@ class ShardedOptimizationServer:
         self.ring = HashRing(
             shards, vnodes if vnodes is not None else shard_vnodes()
         )
-        self.scheduler = DeadlineScheduler(queue_capacity)
-        self.coalescer = RequestCoalescer() if coalesce else None
-        self.metrics = MetricsRegistry()
-        self._lock = threading.Lock()
-        self._started = False
         self._rid_lock = threading.Lock()
         self._next_rid = 1
         self._dispatcher: threading.Thread | None = None
@@ -210,20 +197,6 @@ class ShardedOptimizationServer:
         self._stop_loops = threading.Event()
 
         m = self.metrics
-        self._requests_total = m.counter(
-            "serve_requests_total", "requests submitted")
-        self._completed = m.counter(
-            "serve_completed_total", "requests answered with a result")
-        self._rejected = m.counter(
-            "serve_rejected_total", "requests shed by admission control")
-        self._timed_out = m.counter(
-            "serve_timed_out_total", "requests whose deadline expired")
-        self._failed = m.counter(
-            "serve_failed_total", "requests that raised")
-        self._cancelled = m.counter(
-            "serve_cancelled_total", "requests cancelled cooperatively")
-        self._coalesced = m.counter(
-            "serve_coalesced_total", "requests answered by another's solve")
         self._dispatched = m.counter(
             "serve_dispatched_total", "requests shipped to a shard")
         self._shard_kills = m.counter(
@@ -235,18 +208,10 @@ class ShardedOptimizationServer:
             "requests re-dispatched after a shard death")
         self._wire_corrupt = m.counter(
             "serve_wire_corrupt_total", "corrupt frames on the shard wire")
-        self._errors = m.counter_family(
-            "errors_total", "errors by exception type")
-        self._queue_depth = m.gauge(
-            "serve_queue_depth", "requests waiting in the scheduler")
         self._healthy_shards = m.gauge(
             "serve_healthy_shards", "shards currently in the routing ring")
         self._shard_inflight = m.gauge(
             "serve_shard_inflight", "requests currently on shards")
-        self._wait_hist = m.histogram(
-            "serve_wait_seconds", "queue wait time (hub side)")
-        self._total_hist = m.histogram(
-            "serve_total_seconds", "submit-to-resolve latency")
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -325,8 +290,7 @@ class ShardedOptimizationServer:
         self.supervisor.stop()
         # Nothing a dead server holds may dangle: queue leftovers are
         # REJECTED (never started), in-flight leftovers TIMED_OUT.
-        for request in self.scheduler.drain():
-            self._resolve_rejection(request, "server shutting down")
+        self._reject_queued()
         for handle in self.supervisor.handles:
             for _rid, request in handle.take_inflight():
                 self._finish(request, ServeResult(
@@ -334,120 +298,11 @@ class ShardedOptimizationServer:
                     algorithm=request.algorithm,
                     error="server stopped while request was on a shard",
                 ))
-        if self.coalescer is not None:
-            # Any leaders still tracked above were resolved; their
-            # followers resolved with them via _finish.
-            pass
         for thread in (self._dispatcher, self._supervisor_thread):
             if thread is not None:
                 thread.join(max(0.1, deadline - time.monotonic()))
         with self._lock:
             self._started = False
-
-    def __enter__(self) -> "ShardedOptimizationServer":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop(drain=True)
-
-    @property
-    def started(self) -> bool:
-        with self._lock:
-            return self._started
-
-    # ------------------------------------------------------------------
-    # Submission (the OptimizationServer surface)
-    # ------------------------------------------------------------------
-
-    def submit(
-        self,
-        query: "Query",
-        algorithm: str = "auto",
-        *,
-        priority: "Priority | str | int" = Priority.NORMAL,
-        deadline: float | None = None,
-    ) -> ServeTicket:
-        """Admit one request; identical contract to the single-process
-        :meth:`OptimizationServer.submit`."""
-        resolved_priority = _priority(priority)
-        effective = (
-            deadline if deadline is not None else self.default_deadline
-        )
-        if effective is not None and not (
-            math.isfinite(effective) and effective > 0
-        ):
-            raise ValueError(
-                "deadline must be a positive finite number of seconds"
-            )
-        self._requests_total.inc()
-        request = ServeRequest(
-            query=query,
-            algorithm=algorithm,
-            priority=resolved_priority,
-        )
-        if effective is not None:
-            request.deadline = request.submitted + effective
-        trace = obs.start_trace(
-            "request",
-            algorithm=algorithm,
-            priority=resolved_priority.name.lower(),
-            query=getattr(query, "name", "?"),
-            sharded=True,
-        )
-        if trace:
-            request.trace = trace
-        if self.scheduler.closed:
-            self._resolve_rejection(request, "server stopped")
-            return ServeTicket(request)
-        # repro: allow[LOCK-001] racy fast-path read; start() re-checks under the lock
-        if not self._started:
-            self.start()
-        if algorithm not in available_algorithms():
-            self._failed.inc()
-            request.future.set_result(ServeResult(
-                status=RequestStatus.FAILED,
-                algorithm=algorithm,
-                error=(
-                    f"unknown algorithm {algorithm!r}; registered: "
-                    f"{', '.join(available_algorithms())}"
-                ),
-            ))
-            return ServeTicket(request)
-        request.key = (
-            self.catalog_version, algorithm, query_signature(query),
-        )
-        # Deadline-free requests coalesce hub-side (same invariant as
-        # the single-process server: deadline carriers never coalesce).
-        if self.coalescer is not None and request.deadline is None:
-            if not self.coalescer.lead_or_follow(request.key, request):
-                self._coalesced.inc()
-                return ServeTicket(request)
-            request.leads = True
-        with obs.attach(request.trace):
-            admitted = self.scheduler.offer(request)
-        if not admitted:
-            if request.leads:
-                for follower in self.coalescer.withdraw(request.key):
-                    self._resolve_rejection(follower, "queue full")
-            self._resolve_rejection(request, "queue full")
-            return ServeTicket(request)
-        self._queue_depth.set(len(self.scheduler))
-        return ServeTicket(request)
-
-    def optimize(
-        self,
-        query: "Query",
-        algorithm: str = "auto",
-        *,
-        priority: "Priority | str | int" = Priority.NORMAL,
-        deadline: float | None = None,
-        timeout: float | None = None,
-    ) -> ServeResult:
-        """Synchronous convenience: submit and block for the result."""
-        ticket = self.submit(
-            query, algorithm, priority=priority, deadline=deadline
-        )
-        return ticket.result(timeout)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -480,7 +335,10 @@ class ShardedOptimizationServer:
             request.queue_span.finish()
             request.queue_span = None
         now = time.monotonic()
-        self._wait_hist.observe(now - request.submitted)
+        wait = now - request.submitted
+        self._wait_hist.observe(wait)
+        if self._resolve_if_cancelled(request, wait):
+            return
         remaining = request.remaining(now)
         if remaining is not None and remaining <= 0:
             self._finish(request, ServeResult(
@@ -489,8 +347,7 @@ class ShardedOptimizationServer:
                 error="deadline expired before dispatch",
             ))
             return
-        key = f"{request.key[0]}:{request.key[2]}" if request.key else \
-            query_signature(request.query)
+        key = f"{request.key[0]}:{request.key[2]}"
         healthy = self.supervisor.healthy()
         self._healthy_shards.set(len(healthy))
         dispatched = False
@@ -687,7 +544,15 @@ class ShardedOptimizationServer:
         self._healthy_shards.set(len(self.supervisor.healthy()))
 
     def _deadline_backstop(self) -> None:
-        """Force-resolve requests a live-but-silent shard sat on.
+        """Forward client cancels; force-resolve requests a
+        live-but-silent shard sat on.
+
+        A :meth:`~repro.serve.server.ServeTicket.cancel` of a request
+        already on a shard is forwarded to that shard on every tick
+        until the answer arrives: a cancel that overtakes its request
+        frame is dropped shard-side, and a repeat is harmless (the
+        shard's ticket cancel is idempotent).  The inner server resolves
+        the request like any cancel and ships the outcome back.
 
         Normal deadline handling is shard-side (the inner watchdog).
         This backstop only fires when a request is ``DEADLINE_GRACE``
@@ -698,6 +563,11 @@ class ShardedOptimizationServer:
         now = time.monotonic()
         for handle in self.supervisor.handles:
             for rid, request in handle.inflight_snapshot():
+                token = request.cancel_token
+                if token.cancel_requested:
+                    handle.send(shardwire.encode_control(
+                        "cancel", rid=rid, reason=token.reason,
+                    ))
                 remaining = request.remaining(now)
                 overdue = (
                     remaining is not None
@@ -720,64 +590,6 @@ class ShardedOptimizationServer:
                     algorithm=request.algorithm,
                     error="deadline expired on shard; hub backstop fired",
                 ))
-
-    # ------------------------------------------------------------------
-    # Resolution (mirrors OptimizationServer semantics)
-    # ------------------------------------------------------------------
-
-    def _finish(self, request: ServeRequest, outcome: ServeResult) -> None:
-        followers = (
-            self.coalescer.complete(request.key)
-            if request.leads and self.coalescer is not None else []
-        )
-        self._resolve(request, outcome)
-        for follower in followers:
-            self._resolve(follower, replace(
-                outcome,
-                coalesced=True,
-                wait_seconds=0.0,
-                service_seconds=0.0,
-            ))
-
-    def _resolve(self, request: ServeRequest, outcome: ServeResult) -> None:
-        total = time.monotonic() - request.submitted
-        outcome.total_seconds = total
-        trace = request.trace
-        if trace and outcome.trace_id is None:
-            outcome.trace_id = trace.trace_id
-        try:
-            request.future.set_result(outcome)
-        # repro: allow[NUM-004] idempotent resolve: reader, supervisor disposition and deadline backstop may race; exactly one counts
-        except InvalidStateError:
-            return
-        if trace:
-            if request.queue_span is not None:
-                request.queue_span.finish()
-            trace.annotate(status=outcome.status.value)
-            trace.finish()
-        self._total_hist.observe(total)
-        counter = {
-            RequestStatus.COMPLETED: self._completed,
-            RequestStatus.REJECTED: self._rejected,
-            RequestStatus.TIMED_OUT: self._timed_out,
-            RequestStatus.FAILED: self._failed,
-            RequestStatus.CANCELLED: self._cancelled,
-        }[outcome.status]
-        counter.inc()
-
-    def _resolve_rejection(self, request: ServeRequest, reason: str) -> None:
-        if request.leads and self.coalescer is not None:
-            for follower in self.coalescer.withdraw(request.key):
-                self._resolve(follower, ServeResult(
-                    status=RequestStatus.REJECTED,
-                    algorithm=follower.algorithm,
-                    error=reason,
-                ))
-        self._resolve(request, ServeResult(
-            status=RequestStatus.REJECTED,
-            algorithm=request.algorithm,
-            error=reason,
-        ))
 
     # ------------------------------------------------------------------
     # Catalog + chaos surface
@@ -831,45 +643,16 @@ class ShardedOptimizationServer:
             for handle in self.supervisor.handles
         }
 
-    def stats(self) -> dict[str, Any]:
-        return self.metrics_snapshot()
-
     def metrics_snapshot(self) -> dict[str, Any]:
-        requests = self._requests_total.value
-        coalesced = self._coalesced.value
         health = self.supervisor.health()
-        return {
+        shard_stats = self.shard_stats()
+        snapshot = super().metrics_snapshot()
+        snapshot["requests"]["dispatched"] = self._dispatched.value
+        snapshot.update({
             "sharded": True,
-            "requests": {
-                "submitted": requests,
-                "completed": self._completed.value,
-                "rejected": self._rejected.value,
-                "timed_out": self._timed_out.value,
-                "failed": self._failed.value,
-                "cancelled": self._cancelled.value,
-                "dispatched": self._dispatched.value,
-            },
-            "coalesce": {
-                "coalesced": coalesced,
-                "rate": coalesced / requests if requests else 0.0,
-                "in_flight": (
-                    self.coalescer.in_flight()
-                    if self.coalescer is not None else 0
-                ),
-            },
-            "latency": {
-                "wait": self._wait_hist.snapshot(),
-                "total": self._total_hist.snapshot(),
-            },
-            "queue": {
-                "depth": len(self.scheduler),
-                "capacity": self.scheduler.capacity,
-                "offered": self.scheduler.offered,
-                "shed": self.scheduler.shed,
-            },
-            # The one-place supervision section (satellite: worker
-            # replacement and shard respawns together; per-shard
-            # workers_replaced ride in shards[i].resilience).
+            # One supervision section: per-shard worker replacement
+            # (from each shard's resilience stats) beside shard
+            # respawns, kills and failover retries.
             "supervision": {
                 "workers_replaced": sum(
                     int(
@@ -877,7 +660,7 @@ class ShardedOptimizationServer:
                             "workers_replaced", 0
                         ) or 0
                     )
-                    for s in self.shard_stats().values()
+                    for s in shard_stats.values()
                     if isinstance(s, dict)
                 ),
                 "shard_respawns": self.supervisor.respawns_total,
@@ -892,10 +675,10 @@ class ShardedOptimizationServer:
                     **health["shards"][index],
                     "server": stats,
                 }
-                for index, stats in self.shard_stats().items()
+                for index, stats in shard_stats.items()
             },
-            "errors": self._errors.as_dict(),
-        }
+        })
+        return snapshot
 
     def metrics_text(self) -> str:
         """Merged exposition: hub registry + every shard's registry

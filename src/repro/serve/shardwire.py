@@ -13,10 +13,10 @@ serialization discipline:
   artifact;
 * every frame carries the :mod:`repro.store.serde`-style header —
   4-byte magic, u16 schema version, u32 CRC32 of the body — prefixed
-  with a u64 request id.  The rid sits *outside* the checksummed body
-  on purpose: a receiver that fails the checksum can still (best
-  effort) name the request it must fail honestly, instead of dropping
-  it silently;
+  with a u64 request id and its own CRC32.  The rid sits *outside* the
+  checksummed body on purpose: a receiver that fails the checksum can
+  still name the request it must fail honestly; a rid failing its own
+  check names none, so a frame never answers another request;
 * bodies are canonical JSON (sorted keys, compact separators,
   ``allow_nan=False``), which makes encoding deterministic:
   ``encode(decode(frame)) == frame`` byte-for-byte — the property the
@@ -74,15 +74,19 @@ SCHEMA_VERSION = 1
 #: a misrouted blob is rejected by name, not by checksum luck).
 WIRE_MAGIC = b"RSW\x01"
 
-#: Request id prefix (u64) + store-style frame header (magic 4s,
-#: schema version u16, body crc32 u32).
-_RID = struct.Struct("<Q")
+#: Request id prefix (u64 rid, u32 crc32 of the rid) + store-style
+#: frame header (magic 4s, schema version u16, body crc32 u32).
+_RID = struct.Struct("<QI")
 _FRAME = struct.Struct("<4sHI")
 
 #: Message types carried in the body's ``type`` field.
 MESSAGE_TYPES = (
     "request", "result", "heartbeat", "ready", "control", "bye",
 )
+
+
+def _rid_check(rid: int) -> int:
+    return zlib.crc32(rid.to_bytes(8, "little"))
 
 
 class ShardWireError(ReproError):
@@ -107,19 +111,20 @@ def encode_message(rid: int, body: dict[str, Any]) -> bytes:
         body, sort_keys=True, separators=(",", ":"), allow_nan=False
     ).encode("utf-8")
     return (
-        _RID.pack(rid)
+        _RID.pack(rid, _rid_check(rid))
         + _FRAME.pack(WIRE_MAGIC, SCHEMA_VERSION, zlib.crc32(payload))
         + payload
     )
 
 
 def peek_rid(blob: bytes) -> int:
-    """Best-effort request id of ``blob`` (0 when even the prefix is
-    gone).  Never raises: this is the corruption path's last resort for
-    naming the request it must fail."""
+    """Best-effort request id of ``blob`` (0 when the prefix is gone or
+    fails its check).  Never raises: this is the corruption path's last
+    resort for naming the request it must fail."""
     if len(blob) < _RID.size:
         return 0
-    return int(_RID.unpack_from(blob)[0])
+    rid, check = _RID.unpack_from(blob)
+    return int(rid) if check == _rid_check(rid) else 0
 
 
 def decode_message(blob: bytes) -> tuple[int, dict[str, Any]]:
@@ -128,7 +133,9 @@ def decode_message(blob: bytes) -> tuple[int, dict[str, Any]]:
         raise ShardWireError(
             f"frame too short ({len(blob)} bytes) for rid + header"
         )
-    rid = int(_RID.unpack_from(blob)[0])
+    rid, check = _RID.unpack_from(blob)
+    if check != _rid_check(rid):
+        raise ShardWireError("rid fails its check (frame corrupt)")
     magic, version, crc = _FRAME.unpack_from(blob, _RID.size)
     if magic != WIRE_MAGIC:
         raise ShardWireError(f"bad magic {magic!r} (expected {WIRE_MAGIC!r})")

@@ -211,6 +211,20 @@ class ShardHandle:
             self.note_link_down()
             return False
 
+    def close_link(self, conn: Any) -> None:
+        """Close one incarnation's pipe once its reader saw EOF, marking
+        the link down if ``conn`` is still the live pipe.  Under the
+        send lock, so a concurrent :meth:`send` never writes into a pipe
+        that is closing under it."""
+        with self._lock:
+            if self._conn is conn:
+                self._link_down = True
+        with self._send_lock:
+            try:
+                conn.close()
+            except OSError:  # pragma: no cover - close is best-effort
+                pass
+
     # -- death ---------------------------------------------------------
 
     def declare_dead(self, now: float) -> tuple[Any, Any] | None:
@@ -331,7 +345,7 @@ class ShardSupervisor:
             if reaped is None:
                 continue
             process, conn = reaped
-            self._reap(process, conn, kill=True)
+            self._reap(process, conn)
 
     @property
     def stopping(self) -> bool:
@@ -398,19 +412,20 @@ class ShardSupervisor:
     # -- reading -------------------------------------------------------
 
     def _reader_loop(self, handle: ShardHandle, conn: Any) -> None:
-        """Drain one incarnation's pipe until EOF.
+        """Drain one incarnation's pipe until EOF, then close it.
 
         Bound to the connection, not the handle: after a respawn the
         old reader sees EOF on the old pipe and exits while the new
-        incarnation gets its own thread.
+        incarnation gets its own thread.  Only the reader closes its
+        pipe: the supervisor kills the process, which ends the pipe in
+        EOF here, whereas a close from another thread can land inside
+        ``recv_bytes`` and raise ``TypeError`` instead of ``EOFError``.
         """
         while True:
             try:
                 blob = conn.recv_bytes()
             except (EOFError, OSError):
-                with handle._lock:  # repro: allow[LOCK-001] conn identity check and link_down write must be one atomic step against adopt()
-                    if handle._conn is conn:
-                        handle._link_down = True
+                handle.close_link(conn)
                 return
             self.dispatch_message(handle, blob)
 
@@ -501,7 +516,7 @@ class ShardSupervisor:
         process, conn = reaped
         self.kills += 1
         handle.breaker.record_failure()
-        self._reap(process, conn, kill=True)
+        self._reap(process, conn)
         inflight = handle.take_inflight()
         logger.error(
             "shard %d declared dead: %s (%d in flight)",
@@ -519,18 +534,20 @@ class ShardSupervisor:
         # stand so a full ring loss still heals.
         self._on_failure(handle, inflight, reason)
 
-    @staticmethod
-    def _reap(process: Any, conn: Any, kill: bool) -> None:
+    def _reap(self, process: Any, conn: Any) -> None:
+        """Kill and join a dead incarnation.  Its reader thread closes
+        the pipe on the resulting EOF; without readers, close it here."""
         try:
-            if kill and process is not None and process.is_alive():
+            if process is not None and process.is_alive():
                 process.kill()
             if process is not None:
                 process.join(timeout=1.0)
         except (OSError, ValueError, AssertionError):  # pragma: no cover
             pass
+        if self.start_readers or conn is None:
+            return
         try:
-            if conn is not None:
-                conn.close()
+            conn.close()
         except OSError:  # pragma: no cover - close is best-effort
             pass
 

@@ -84,6 +84,10 @@ def make_server(shards=3, fault_specs=(), **kwargs):
     kwargs.setdefault("heartbeat_interval", 0.1)
     kwargs.setdefault("heartbeat_timeout", 2.0)
     kwargs.setdefault("max_retries", 3)
+    # The same solver budget as the single-process chaos suite: a kill
+    # needs requests in flight, not MILPs proven optimal, and without a
+    # budget one five-table cycle query runs for half a minute.
+    kwargs.setdefault("time_limit", 5.0)
     return ShardedOptimizationServer(
         shards=shards,
         fault_specs=tuple(fault_specs),
@@ -217,12 +221,14 @@ class TestWedgeAndWire:
         server.start()
         assert wait_healthy(server, 2)
         try:
-            # A flip can land in the rid prefix (deliberately outside
-            # the checksum), turning the result into an unnamed late
-            # answer the hub drops; the deadline backstop then owns the
-            # honest disposition, so give every request one.
+            # A flip can land in the rid prefix (outside the body
+            # checksum, under its own check), leaving a frame that names
+            # no request: the receiver only counts it, and the deadline
+            # backstop then owns the honest disposition, so give every
+            # request one (short: each unnamed frame's request waits it
+            # out, plus the backstop's grace).
             results = [
-                server.submit(q, "greedy", deadline=20.0).result(60.0)
+                server.submit(q, "greedy", deadline=5.0).result(60.0)
                 for q in make_queries(12, seed=CHAOS_SEED + 3)
             ]
             assert all(r.status in HONEST for r in results)

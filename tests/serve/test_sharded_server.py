@@ -60,19 +60,6 @@ class TestServing:
             assert ticket._request.shard in (None, owner) or \
                 ticket._request.shard == owner
 
-    def test_unknown_algorithm_fails_without_dispatch(self, server):
-        query = make_queries(1)[0]
-        outcome = server.submit(query, "nope").result(5.0)
-        assert outcome.status is RequestStatus.FAILED
-        assert "unknown algorithm" in outcome.error
-
-    def test_duplicates_coalesce_hub_side(self, server):
-        query = make_queries(1, seed=33)[0]
-        tickets = [server.submit(query, "greedy") for _ in range(6)]
-        results = [t.result(60.0) for t in tickets]
-        assert all(r.status is RequestStatus.COMPLETED for r in results)
-        assert any(r.coalesced for r in results)
-
     def test_tight_deadline_times_out_honestly(self, server):
         query = make_queries(1, seed=44, tables=6)[0]
         outcome = server.submit(
@@ -173,6 +160,34 @@ class TestLifecycle:
         # Post-stop submissions are rejected, not hung.
         outcome = srv.submit(make_queries(1)[0], "greedy").result(5.0)
         assert outcome.status is RequestStatus.REJECTED
+
+    def test_cancel_of_a_request_on_a_shard_is_forwarded(self):
+        # The one shard worker runs a MILP to its 2 s budget.  The
+        # second request is cancelled once the hub has put it on the
+        # shard, so only the cancel forwarded to the shard can stop it
+        # — even when the cancel overtakes its request frame.
+        srv = ShardedOptimizationServer(
+            shards=1, workers_per_shard=1, time_limit=2.0,
+            supervisor_interval=0.02, heartbeat_interval=0.1,
+        )
+        srv.start()
+        try:
+            blocker = srv.submit(
+                QueryGenerator(seed=1).generate("star", 6), "milp"
+            )
+            queued = srv.submit(make_queries(1, seed=2)[0], "greedy")
+            deadline = time.monotonic() + 10.0
+            while queued._request.shard is None:
+                assert time.monotonic() < deadline, "never dispatched"
+                time.sleep(0.001)
+            queued.cancel()
+            outcome = queued.result(30.0)
+            assert outcome.status is RequestStatus.CANCELLED
+            assert "cancelled by client" in outcome.error
+            assert blocker.result(30.0).ok
+            assert srv.metrics_snapshot()["requests"]["cancelled"] == 1
+        finally:
+            srv.stop(drain=False)
 
     def test_bump_catalog_version_broadcasts(self, server):
         before = server.catalog_version

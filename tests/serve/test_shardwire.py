@@ -8,6 +8,7 @@ lifecycle messages, and float sanitization.
 
 import json
 import struct
+import zlib
 
 import pytest
 
@@ -25,6 +26,12 @@ def make_result(seed=3):
     query = make_query(seed)
     optimizer = create_optimizer("greedy", OptimizerSettings())
     return optimizer.optimize(query)
+
+
+def rid_prefix(rid):
+    """The u64 rid and the u32 CRC32 of its bytes that open a frame."""
+    raw = struct.pack("<Q", rid)
+    return raw + struct.pack("<I", zlib.crc32(raw))
 
 
 class TestFraming:
@@ -53,14 +60,14 @@ class TestFraming:
         blob = bytearray(
             shardwire.encode_message(1, {"type": "bye", "shard": 0})
         )
-        blob[8] ^= 0xFF  # first magic byte, after the u64 rid
+        blob[12] ^= 0xFF  # first magic byte, after the rid prefix
         with pytest.raises(shardwire.ShardWireError, match="magic"):
             shardwire.decode_message(bytes(blob))
 
     def test_unknown_schema_version_rejected(self):
         payload = json.dumps({"type": "bye", "shard": 0}).encode()
         blob = (
-            struct.pack("<Q", 1)
+            rid_prefix(1)
             + struct.pack("<4sHI", shardwire.WIRE_MAGIC,
                           shardwire.SCHEMA_VERSION + 1, 0)
             + payload
@@ -79,12 +86,22 @@ class TestFraming:
         # the receiver can still name the request it must fail.
         assert shardwire.peek_rid(bytes(blob)) == 1234
 
+    def test_corrupt_rid_rejected_and_never_names_a_request(self):
+        for index in range(12):  # the u64 rid and its u32 check
+            blob = bytearray(
+                shardwire.encode_message(1234, {"type": "bye", "shard": 0})
+            )
+            blob[index] ^= 0x01
+            with pytest.raises(shardwire.ShardWireError, match="rid"):
+                shardwire.decode_message(bytes(blob))
+            # No rid rather than a neighbour's: the frame cannot
+            # answer, or fail, a request it was not sent for.
+            assert shardwire.peek_rid(bytes(blob)) == 0
+
     def test_untyped_body_rejected(self):
         payload = json.dumps({"no_type": True}).encode()
-        import zlib
-
         blob = (
-            struct.pack("<Q", 1)
+            rid_prefix(1)
             + struct.pack("<4sHI", shardwire.WIRE_MAGIC,
                           shardwire.SCHEMA_VERSION, zlib.crc32(payload))
             + payload

@@ -8,6 +8,9 @@ hang), the honest-disposition handoff, respawn backoff, and the
 clean-drain exemption — all without sleeping.
 """
 
+import multiprocessing
+import threading
+
 from repro.serve import shardwire
 from repro.serve.shard import ShardConfig
 from repro.serve.supervisor import ShardState, ShardSupervisor
@@ -68,6 +71,8 @@ class Harness:
         configs = [ShardConfig(index=i) for i in range(shards)]
         kwargs.setdefault("heartbeat_timeout", 2.0)
         kwargs.setdefault("respawn_backoff", 0.5)
+        # tests feed frames via dispatch_message unless they opt in
+        kwargs.setdefault("start_readers", False)
         sup = ShardSupervisor(
             configs,
             on_failure=lambda h, inflight, reason: self.failures.append(
@@ -78,7 +83,6 @@ class Harness:
             ),
             on_ready=lambda h: self.ready.append(h.index),
             clock=self.clock,
-            start_readers=False,  # tests feed frames via dispatch_message
             **kwargs,
         )
         harness = self
@@ -305,3 +309,36 @@ class TestWire:
         assert health["healthy_shards"] == 1
         assert health["shards"]["0"]["state"] == "ready"
         assert health["shards"]["1"]["state"] == "starting"
+
+
+class TestReader:
+    def test_reader_alone_closes_its_pipe(self):
+        """A dead shard's process is reaped, but its pipe is left to the
+        reader thread, which closes it on the EOF the death causes: a
+        close from the tick thread could land inside ``recv_bytes`` and
+        kill the reader with a ``TypeError``."""
+        h = Harness(shards=1, start_readers=True)
+        child_ends = []
+
+        def spawn(config):
+            hub_end, child_end = multiprocessing.Pipe()
+            child_ends.append(child_end)
+            process = FakeProcess()
+            h.spawned.append((config, process, hub_end))
+            return process, hub_end
+
+        h.sup._spawn_process = spawn
+        h.start()
+        _config, process, hub_end = h.spawned[0]
+        reader = next(
+            t for t in threading.enumerate() if t.name == "shard-0-reader"
+        )
+        h.make_ready(0)
+        process.alive = False
+        h.sup.tick()
+        assert h.sup.handle(0).state is ShardState.DEAD
+        assert not hub_end.closed
+        child_ends[0].close()  # the process's end dies with it
+        reader.join(5.0)
+        assert not reader.is_alive()
+        assert hub_end.closed

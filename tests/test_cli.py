@@ -78,11 +78,11 @@ class TestOptimize:
         loaded = read_mps(mps_path)
         assert loaded.num_variables > 0
 
-    def test_portfolio_flag(self, capsys):
+    def test_portfolio_algorithm(self, capsys):
         code = main([
             "optimize", "--tables", "3", "--precision", "low",
             "--cost-model", "cout", "--time-limit", "20",
-            "--portfolio",
+            "--algorithm", "milp-portfolio",
         ])
         captured = capsys.readouterr()
         assert code == 0
@@ -116,15 +116,6 @@ class TestAlgorithmFlag:
             captured = capsys.readouterr()
             assert code == 0, algorithm
             assert "plan:" in captured.out
-
-    def test_portfolio_conflicts_with_other_algorithm(self, capsys):
-        code = main([
-            "optimize", "--algorithm", "greedy", "--portfolio",
-            "--tables", "4",
-        ])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert "conflicts" in captured.err
 
     def test_inapplicable_engine_reports_cleanly(self, capsys):
         # No traceback: the adapter turns the engine's PlanError into a
