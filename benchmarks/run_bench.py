@@ -38,10 +38,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
+# One BLAS thread, set before numpy loads: with the default thread count
+# the large tier's replayed pivot counts depend on the host's cores.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core.config import FormulationConfig  # noqa: E402

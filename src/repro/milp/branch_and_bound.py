@@ -26,6 +26,14 @@ planes go through ``add_rows``, which extends the live basis with the
 cut rows' slack columns so the cut loop stays warm too, and an optional
 :class:`~repro.milp.lp_backend.BasisExchangePool` lets concurrent
 solvers of the same form (the portfolio) seed each other's root LPs.
+
+Bound propagation (:class:`~repro.milp.propagation.BoundPropagator`)
+runs at the root, as presolve, and again on every box the search is
+about to hand to the LP: tree nodes, dives, fix-and-solve and the
+warm-start repair.  A box that propagates empty is pruned without an LP
+solve (``bnb.prune`` with ``reason="propagated"``); any other box
+reaches the LP with its integer bounds tightened, which fixes most
+cardinality-threshold flags as soon as the join order decides them.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ from repro.milp.lp_backend import (
 from repro.milp.simplex import RevisedSimplexBackend
 from repro.milp.model import Model
 from repro.milp.presolve import presolve
+from repro.milp.propagation import BoundPropagator
 from repro.milp.solution import (
     IncumbentEvent,
     MILPSolution,
@@ -102,7 +111,10 @@ class SolverOptions:
         backend supports it (dual-simplex re-optimization).  Disable for
         A/B measurements of the warm-start speedup.
     use_presolve:
-        Run bound-propagation presolve before the search.
+        Propagate bounds through the rows at the root (presolve) and at
+        every node, dive step and fix-and-solve before its LP; a box
+        that propagates empty is pruned without an LP solve.  ``False``
+        runs the unpropagated search.
     heuristics:
         Enable rounding/diving primal heuristics.
     dive_frequency:
@@ -229,6 +241,12 @@ class BranchAndBoundSolver:
         self._lp_pivots = 0
         self._lp_time = 0.0
         self._form: StandardForm = to_standard_form(model)
+        #: Bound propagation engine, run on every box before its LP
+        #: (``None`` when presolve is off: the unpropagated search).
+        self._propagator: BoundPropagator | None = (
+            BoundPropagator(self._form) if self.options.use_presolve
+            else None
+        )
         # One LP session per tree: it owns the equilibrated matrix and
         # factorization caches, nodes drive it via set_bounds, and the
         # cut loop grows it via add_rows.  Created at the top of each
@@ -321,8 +339,8 @@ class BranchAndBoundSolver:
                 callback(event)
 
         # ----- presolve ------------------------------------------------
-        if self.options.use_presolve:
-            pre = presolve(self.model)
+        if self._propagator is not None:
+            pre = presolve(self.model, self._propagator)
             if not pre.feasible:
                 return MILPSolution(
                     status=SolveStatus.INFEASIBLE,
@@ -492,12 +510,16 @@ class BranchAndBoundSolver:
                 obs.event("bnb.prune", reason="bound", depth=node.depth)
                 continue
 
+            box = self._propagate(*self._node_bounds(node, root_lb, root_ub))
+            if box is None:
+                obs.event("bnb.prune", reason="propagated", depth=node.depth)
+                continue
+            lb, ub = box
             node_count += 1
             obs.event(
                 "bnb.node", number=node_count, depth=node.depth,
                 bound=node.lp_bound,
             )
-            lb, ub = self._node_bounds(node, root_lb, root_ub)
             result = self._solve_lp(lb, ub, parent_basis)
             if result.status is LPStatus.ERROR:
                 # Drop the node but remember that this subtree was never
@@ -589,6 +611,18 @@ class BranchAndBoundSolver:
     # ------------------------------------------------------------------
     # LP solves
     # ------------------------------------------------------------------
+
+    def _propagate(
+        self, lb: np.ndarray, ub: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """The box an LP should see, or ``None`` when it is provably empty.
+
+        A pruned box costs no LP solve; the caller emits
+        ``bnb.prune(reason="propagated")`` where it stands for a node.
+        """
+        if self._propagator is None:
+            return lb, ub
+        return self._propagator.propagate(lb, ub)
 
     def _solve_lp(
         self,
@@ -918,7 +952,10 @@ class BranchAndBoundSolver:
         rounded = np.clip(rounded, lb[self._integral], ub[self._integral])
         fixed_lb[self._integral] = rounded
         fixed_ub[self._integral] = rounded
-        result = self._solve_lp(fixed_lb, fixed_ub, basis)
+        box = self._propagate(fixed_lb, fixed_ub)
+        if box is None:
+            return None
+        result = self._solve_lp(*box, basis)
         if result.status is LPStatus.OPTIMAL and self.model.is_feasible(result.x):
             return result.x
         return None
@@ -961,10 +998,10 @@ class BranchAndBoundSolver:
             target = min(max(target, lb[index]), ub[index])
             saved_lb, saved_ub = lb[index], ub[index]
             lb[index] = ub[index] = target
-            result = self._solve_lp(lb, ub, basis)
-            if result.status is not LPStatus.OPTIMAL:
+            box = self._propagate(lb, ub)
+            result = None if box is None else self._solve_lp(*box, basis)
+            if result is None or result.status is not LPStatus.OPTIMAL:
                 # Flip to the other side once; abort the dive on failure.
-                other = saved_ub if target == saved_lb else saved_lb
                 other = float(
                     np.floor(values[pick])
                     if target == np.ceil(values[pick])
@@ -974,9 +1011,13 @@ class BranchAndBoundSolver:
                 if other == target:
                     return None
                 lb[index] = ub[index] = other
-                result = self._solve_lp(lb, ub, basis)
+                box = self._propagate(lb, ub)
+                if box is None:
+                    return None
+                result = self._solve_lp(*box, basis)
                 if result.status is not LPStatus.OPTIMAL:
                     return None
+            lb, ub = box
             current = result.x
             basis = result.basis
         return None

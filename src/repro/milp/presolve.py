@@ -4,8 +4,10 @@ Commercial solvers run extensive presolve; we implement the reductions that
 matter for our join-ordering MILPs:
 
 * integral bound rounding (``ceil`` of lower, ``floor`` of upper bounds);
-* singleton-row bound tightening (rows with one variable become bounds);
-* activity-based infeasibility/redundancy detection for inequality rows.
+* one call of the activity-based :class:`~repro.milp.propagation.BoundPropagator`
+  that branch-and-bound also runs at every node: single-variable rows
+  become bounds, integer bounds tighten through the rows, and boxes no
+  point can satisfy are reported infeasible.
 
 Presolve never modifies the :class:`~repro.milp.model.Model`; it returns
 tightened bound vectors that the solver applies at the root node.
@@ -18,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.milp.constraints import Sense
 from repro.milp.model import Model
+from repro.milp.propagation import BoundPropagator
+from repro.milp.standard_form import to_standard_form
 
 _TOL = 1e-9
 
@@ -49,8 +52,14 @@ class PresolveResult:
         return int(np.sum(np.isclose(self.lb, self.ub)))
 
 
-def presolve(model: Model, max_rounds: int = 5) -> PresolveResult:
-    """Run bound-propagation presolve on ``model``."""
+def presolve(
+    model: Model, propagator: BoundPropagator | None = None
+) -> PresolveResult:
+    """Round integral bounds, then propagate them through the rows.
+
+    ``propagator`` is the caller's engine for ``model`` (branch-and-bound
+    passes the one it runs at every node); one is built when omitted.
+    """
     lb, ub = model.bounds_arrays()
     result = PresolveResult(lb=lb, ub=ub)
 
@@ -58,10 +67,21 @@ def presolve(model: Model, max_rounds: int = 5) -> PresolveResult:
     if not result.feasible:
         return result
 
-    for _ in range(max_rounds):
-        changed = _propagate_once(model, result)
-        if not result.feasible or not changed:
-            break
+    if propagator is None:
+        propagator = BoundPropagator(to_standard_form(model))
+    box = propagator.propagate(result.lb, result.ub)
+    if box is None:
+        result.feasible = False
+        result.reductions.append("infeasible-propagation")
+        return result
+    for kind, moved in (
+        ("lb", box[0] > result.lb), ("ub", box[1] < result.ub)
+    ):
+        result.reductions += [
+            f"tighten-{kind}:{model.variables[index].name}"
+            for index in np.flatnonzero(moved)
+        ]
+    result.lb, result.ub = box
     return result
 
 
@@ -96,97 +116,3 @@ def _round_integral_bounds(model: Model, result: PresolveResult) -> None:
             result.feasible = False
             result.reductions.append(f"infeasible-bounds:{variable.name}")
             return
-
-
-def _propagate_once(model: Model, result: PresolveResult) -> bool:
-    """One round of singleton + activity propagation; True when changed."""
-    changed = False
-    for constraint in model.constraints:
-        coefficients = constraint.expr.coefficients
-        if not coefficients:
-            if _constant_row_infeasible(constraint):
-                result.feasible = False
-                result.reductions.append(f"infeasible-row:{constraint.name}")
-                return changed
-            continue
-        if len(coefficients) == 1:
-            changed |= _tighten_singleton(constraint, model, result)
-            if not result.feasible:
-                return changed
-            continue
-        if constraint.sense is not Sense.EQ:
-            if _activity_infeasible(constraint, result):
-                result.feasible = False
-                result.reductions.append(f"infeasible-row:{constraint.name}")
-                return changed
-    return changed
-
-
-def _constant_row_infeasible(constraint) -> bool:
-    if constraint.sense is Sense.LE:
-        return 0.0 > constraint.rhs + _TOL
-    if constraint.sense is Sense.GE:
-        return 0.0 < constraint.rhs - _TOL
-    return abs(constraint.rhs) > _TOL
-
-
-def _tighten_singleton(constraint, model: Model, result: PresolveResult) -> bool:
-    """Turn a one-variable row into a bound update."""
-    ((index, coefficient),) = constraint.expr.coefficients.items()
-    variable = model.variables[index]
-    bound = constraint.rhs / coefficient
-    changed = False
-    sense = constraint.sense
-    # coefficient sign flips the direction of LE/GE.
-    upper = (sense is Sense.LE) == (coefficient > 0)
-    if sense is Sense.EQ:
-        if bound < result.lb[index] - _TOL or bound > result.ub[index] + _TOL:
-            result.feasible = False
-            return changed
-        if not math.isclose(result.lb[index], bound) or not math.isclose(
-            result.ub[index], bound
-        ):
-            result.lb[index] = bound
-            result.ub[index] = bound
-            result.reductions.append(f"fix:{variable.name}")
-            changed = True
-        return changed
-    if upper:
-        tightened = bound
-        if variable.is_integral:
-            tightened = math.floor(tightened + _TOL)
-        if tightened < result.ub[index] - _TOL:
-            result.ub[index] = tightened
-            result.reductions.append(f"tighten-ub:{variable.name}")
-            changed = True
-    else:
-        tightened = bound
-        if variable.is_integral:
-            tightened = math.ceil(tightened - _TOL)
-        if tightened > result.lb[index] + _TOL:
-            result.lb[index] = tightened
-            result.reductions.append(f"tighten-lb:{variable.name}")
-            changed = True
-    if result.lb[index] > result.ub[index] + _TOL:
-        result.feasible = False
-    return changed
-
-
-def _activity_infeasible(constraint, result: PresolveResult) -> bool:
-    """Minimum-activity test for an inequality row."""
-    minimum = 0.0
-    for index, coefficient in constraint.expr.coefficients.items():
-        bound = result.lb[index] if coefficient > 0 else result.ub[index]
-        if math.isinf(bound):
-            return False
-        minimum += coefficient * bound
-    if constraint.sense is Sense.LE:
-        return minimum > constraint.rhs + 1e-7
-    # GE row: maximum activity below rhs means infeasible.
-    maximum = 0.0
-    for index, coefficient in constraint.expr.coefficients.items():
-        bound = result.ub[index] if coefficient > 0 else result.lb[index]
-        if math.isinf(bound):
-            return False
-        maximum += coefficient * bound
-    return maximum < constraint.rhs - 1e-7

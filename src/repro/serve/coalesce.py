@@ -104,6 +104,23 @@ class RequestCoalescer:
             entry = self._in_flight.pop(key, None)
             return entry.followers if entry is not None else []
 
+    def detach(self, key: Hashable, follower: ServeRequest) -> bool:
+        """Remove one follower from ``key``'s entry (its client gave up).
+
+        ``False`` when the entry was already completed: the follower is
+        then in the leader's hands and is resolved from there.
+        """
+        with self._lock:
+            entry = self._in_flight.get(key)
+            followers = entry.followers if entry is not None else []
+            # By identity: requests are dataclasses, and == would
+            # compare their queries field by field.
+            for index, waiting in enumerate(followers):
+                if waiting is follower:
+                    del followers[index]
+                    return True
+            return False
+
     def in_flight(self) -> int:
         """Number of distinct keys currently in flight."""
         with self._lock:

@@ -37,6 +37,7 @@ import logging
 import math
 import threading
 import time
+from collections.abc import Callable
 from concurrent.futures import InvalidStateError
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
@@ -127,8 +128,15 @@ class ServeResult:
 class ServeTicket:
     """Handle on a submitted request: block on :meth:`result`."""
 
-    def __init__(self, request: ServeRequest) -> None:
+    def __init__(
+        self,
+        request: ServeRequest,
+        on_cancel: Callable[[ServeRequest], None] | None = None,
+    ) -> None:
         self._request = request
+        #: Set only for coalesced followers: detaches the follower from
+        #: its leader so a cancel resolves it at once.
+        self._on_cancel = on_cancel
 
     @property
     def future(self) -> "Future[ServeResult]":
@@ -150,10 +158,14 @@ class ServeTicket:
         pivots) and resolve with their best-so-far plan (``COMPLETED``)
         or ``CANCELLED`` when nothing was found.  On the sharded tier
         the hub forwards the cancel to the shard holding the request.
-        Already-resolved requests are unaffected.
+        A coalesced follower resolves ``CANCELLED`` at once, while its
+        leader's solve runs on.  Already-resolved requests are
+        unaffected.
         """
         if self._request.cancel_token is not None:
             self._request.cancel_token.cancel(reason)
+        if self._on_cancel is not None:
+            self._on_cancel(self._request)
 
 
 def _priority(value: "Priority | str | int") -> Priority:
@@ -168,6 +180,16 @@ def _priority(value: "Priority | str | int") -> Priority:
                 f"{[p.name.lower() for p in Priority]}"
             ) from None
     return Priority(value)
+
+
+def _cancelled(request: ServeRequest, wait: float = 0.0) -> ServeResult:
+    """The outcome of a request its client cancelled before it ran."""
+    return ServeResult(
+        status=RequestStatus.CANCELLED,
+        algorithm=request.algorithm,
+        error=f"cancelled: {request.cancel_token.reason}",
+        wait_seconds=wait,
+    )
 
 
 class _RequestLifecycle:
@@ -336,7 +358,7 @@ class _RequestLifecycle:
             if not self.coalescer.lead_or_follow(request.key, request):
                 # Follower: answered by the leader, consumes nothing.
                 self._coalesced.inc()
-                return ServeTicket(request)
+                return ServeTicket(request, self._cancel_follower)
             request.leads = True
         # The admission span nests under the request root: attach the
         # root to the submitting thread for the duration of the offer.
@@ -371,13 +393,16 @@ class _RequestLifecycle:
         token = request.cancel_token
         if token is None or not token.cancel_requested:
             return False
-        self._finish(request, ServeResult(
-            status=RequestStatus.CANCELLED,
-            algorithm=request.algorithm,
-            error=f"cancelled: {token.reason}",
-            wait_seconds=wait,
-        ))
+        self._finish(request, _cancelled(request, wait))
         return True
+
+    def _cancel_follower(self, request: ServeRequest) -> None:
+        """Detach a cancelled coalesced follower from its leader and
+        resolve it ``CANCELLED``; the leader's solve runs on for the
+        requests still waiting on it.  A follower the leader already
+        took is resolved by :meth:`_finish`."""
+        if self.coalescer.detach(request.key, request):
+            self._resolve(request, _cancelled(request))
 
     # ------------------------------------------------------------------
     # Resolution
@@ -393,6 +418,11 @@ class _RequestLifecycle:
         )
         self._resolve(request, outcome)
         for follower in followers:
+            if follower.cancel_token.cancel_requested:
+                # Cancelled after the leader took its followers: the
+                # cancel lost the race to detach, not its effect.
+                self._resolve(follower, _cancelled(follower))
+                continue
             self._resolve(follower, replace(
                 outcome,
                 coalesced=True,

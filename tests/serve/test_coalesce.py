@@ -47,6 +47,19 @@ class TestCoalescer:
         assert coalescer.withdraw("k") == [follower]
         assert coalescer.in_flight() == 0
 
+    def test_detach_removes_one_follower(self):
+        coalescer = RequestCoalescer()
+        leader, gone, stays = request(), request(), request()
+        coalescer.lead_or_follow("k", leader)
+        coalescer.lead_or_follow("k", gone)
+        coalescer.lead_or_follow("k", stays)
+        assert coalescer.detach("k", gone)
+        assert not coalescer.detach("k", gone)
+        assert not coalescer.detach("k", leader)
+        assert coalescer.complete("k") == [stays]
+        # once the leader took its followers, detach reports it
+        assert not coalescer.detach("k", stays)
+
     def test_as_dict(self):
         coalescer = RequestCoalescer()
         coalescer.lead_or_follow("k", request())

@@ -12,6 +12,7 @@ The acceptance-criteria proofs live here:
   queueing unboundedly.
 """
 
+import sys
 import threading
 import time
 
@@ -127,6 +128,56 @@ class TestCoalescing:
         assert stub.calls == 1  # second answered by the plan cache
         assert server.service.stats.hits == 1
         assert not second.coalesced  # cache hit, not coalesced
+
+    def test_follower_cancels_racing_the_leader_resolve_once(self):
+        # Followers cancelled from more threads than cores while their
+        # leader finishes: each resolves exactly once, CANCELLED or with
+        # the leader's answer, and the counters balance.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        cancelled = 0
+        try:
+            for round_ in range(10):
+                stub = RecordingStub(delay=0.01)
+                with stub_server(stub, workers=1) as server:
+                    query = queries("star", 4, 1)[0]
+                    leader = server.submit(query, "stub")
+                    followers = [
+                        server.submit(query, "stub") for _ in range(16)
+                    ]
+                    cancellers = [
+                        threading.Thread(
+                            target=lambda t=ticket, d=i: (
+                                time.sleep(0.001 * d), t.cancel()
+                            )
+                        )
+                        for i, ticket in enumerate(followers)
+                    ]
+                    for thread in cancellers:
+                        thread.start()
+                    for thread in cancellers:
+                        thread.join(10)
+                        assert not thread.is_alive()
+                    outcomes = [t.result(10) for t in followers]
+                    assert leader.result(10).ok
+                statuses = [o.status for o in outcomes]
+                assert set(statuses) <= {
+                    RequestStatus.CANCELLED, RequestStatus.COMPLETED
+                }, round_
+                requests = server.metrics_snapshot()["requests"]
+                assert requests["submitted"] == 17
+                assert requests["cancelled"] == statuses.count(
+                    RequestStatus.CANCELLED
+                )
+                assert requests["completed"] == 1 + statuses.count(
+                    RequestStatus.COMPLETED
+                )
+                assert server.coalescer.in_flight() == 0
+                cancelled += requests["cancelled"]
+        finally:
+            sys.setswitchinterval(interval)
+        # The earliest cancels land while the leader still sleeps.
+        assert cancelled > 0
 
     def test_coalescing_disabled(self):
         stub = RecordingStub(delay=0.1)

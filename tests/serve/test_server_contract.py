@@ -140,6 +140,30 @@ def test_cancel_of_a_queued_request_resolves_cancelled(server):
     assert snapshot["requests"]["completed"] == 1
 
 
+def test_cancel_of_a_coalesced_follower_resolves_it_at_once(server):
+    # Two identical deadline-free MILP requests coalesce; the follower's
+    # client gives up while the leader's solve runs to its 2 s budget.
+    query = QueryGenerator(seed=3).generate("star", 6)
+    leader = server.submit(query, "milp")
+    follower = server.submit(query, "milp")
+    time.sleep(0.1)
+    follower.cancel()
+    outcome = follower.result(1.0)
+    assert not leader.done()
+    assert outcome.status is RequestStatus.CANCELLED
+    assert outcome.error == "cancelled: cancelled by client"
+    assert not outcome.coalesced
+    assert leader.result(30).status is RequestStatus.COMPLETED
+    requests = server.metrics_snapshot()["requests"]
+    assert requests["submitted"] == 2
+    assert requests["cancelled"] == 1
+    assert requests["completed"] == 1
+    assert sum(
+        requests[status.value] for status in HONEST
+    ) == requests["submitted"]
+    assert server.metrics_snapshot()["coalesce"]["in_flight"] == 0
+
+
 def test_hard_stop_resolves_every_future_followers_included(server):
     busy = submit_blocker(server)
     duplicate = slow_query(seed=2)
